@@ -37,7 +37,7 @@ import numpy as np
 
 from ..hardware.target import Target
 from ..service.evaluate import EvalJob
-from ..service.job import CompileJob, job_from_dict
+from ..service.job import CompileJob, _require_lines, job_from_dict
 from ..service.optimize import OptimizeJob, optimize_job_from_dict
 from .slo import SLO, SLO_TIERS, slo_from_dict
 
@@ -131,7 +131,9 @@ def bind_job(
 
 def fleet_jobs_from_jsonl(lines: Sequence[str]) -> List[FleetJob]:
     """Parse a fleet JSONL job stream (blank lines / ``#`` comments
-    skipped); raises ``ValueError`` naming the offending line."""
+    skipped); raises ``ValueError`` naming the offending line, and
+    ``TypeError`` on a bare ``str``/``bytes``."""
+    _require_lines(lines)
     out: List[FleetJob] = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()

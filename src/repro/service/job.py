@@ -553,8 +553,24 @@ def job_from_dict(spec: dict) -> CompileJob:
     )
 
 
+def _require_lines(lines) -> None:
+    """Reject a bare ``str``/``bytes`` where a JSONL loader wants lines:
+    iterating one would parse it a character at a time."""
+    if isinstance(lines, (str, bytes)):
+        raise TypeError(
+            "expected a sequence of lines, got a single "
+            f"{type(lines).__name__}; pass text.splitlines() or an open file"
+        )
+
+
 def load_jobs_jsonl(lines: Sequence[str]) -> List[CompileJob]:
-    """Parse a JSONL job file (blank lines and ``#`` comments skipped)."""
+    """Parse a JSONL job file (blank lines and ``#`` comments skipped).
+
+    ``lines`` is an iterable of lines (a list, ``text.splitlines()`` or an
+    open file); a ``str`` or ``bytes`` raises ``TypeError`` rather than
+    being parsed one character at a time.
+    """
+    _require_lines(lines)
     jobs = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()

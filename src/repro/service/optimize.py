@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence
 
 from ..qaoa.frontend import problem_canonical, problem_from_spec
 from .engine import BatchEngine, BatchReport
-from .job import JobResult, encode_envelope
+from .job import JobResult, _require_lines, encode_envelope
 
 __all__ = [
     "OPTIMIZE_HASH_VERSION",
@@ -250,7 +250,13 @@ def optimize_job_from_dict(spec: dict) -> OptimizeJob:
 
 def load_optimize_jobs_jsonl(lines: Sequence[str]) -> List[OptimizeJob]:
     """Parse a JSONL optimize-job file (blank lines and ``#`` comments
-    skipped)."""
+    skipped).
+
+    ``lines`` is an iterable of lines, as for
+    :func:`~repro.service.job.load_jobs_jsonl`; a ``str`` or ``bytes``
+    raises ``TypeError``.
+    """
+    _require_lines(lines)
     jobs = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()

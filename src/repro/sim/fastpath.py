@@ -112,7 +112,12 @@ class CostDiagonal:
       fast-path statevectors match gate-by-gate evolution bit-for-bit up
       to float rounding;
     * :meth:`sign` / :meth:`szz` — ``s_q(z)`` and ``s_a s_b`` sign
-      vectors, the elementwise form of Z and ZZ rotations.
+      vectors, the elementwise form of Z and ZZ rotations.  These are
+      computed on every call, not cached: an interned diagonal lives as
+      long as its registry slot, and at n=12 the per-qubit and per-pair
+      vectors would take about 1 MB against 64 KB for ``cut`` + ``phase``.
+      Callers that reuse them (:func:`logical_trajectory`) memoise them
+      per call.
     """
 
     def __init__(
@@ -157,8 +162,6 @@ class CostDiagonal:
         )
         self._cut: Optional[np.ndarray] = None
         self._phase: Optional[np.ndarray] = None
-        self._signs: Dict[int, np.ndarray] = {}
-        self._szz: Dict[Tuple[int, int], np.ndarray] = {}
         self._phase_groups: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._phase_groups_known = False
 
@@ -190,24 +193,15 @@ class CostDiagonal:
         return float(self.cut.max())
 
     def sign(self, q: int) -> np.ndarray:
-        """``s_q(z) = 1 - 2 bit_q(z)`` — the Z eigenvalue sign vector."""
-        cached = self._signs.get(q)
-        if cached is None:
-            indices = np.arange(self.dim, dtype=np.int64)
-            cached = 1.0 - 2.0 * ((indices >> q) & 1)
-            cached.flags.writeable = False
-            self._signs[q] = cached
-        return cached
+        """``s_q(z) = 1 - 2 bit_q(z)`` — the Z eigenvalue sign vector
+        (a fresh array per call)."""
+        indices = np.arange(self.dim, dtype=np.int64)
+        return 1.0 - 2.0 * ((indices >> q) & 1)
 
     def szz(self, a: int, b: int) -> np.ndarray:
-        """``s_a(z) * s_b(z)`` — the ZZ eigenvalue sign vector."""
-        key = (min(a, b), max(a, b))
-        cached = self._szz.get(key)
-        if cached is None:
-            cached = self.sign(key[0]) * self.sign(key[1])
-            cached.flags.writeable = False
-            self._szz[key] = cached
-        return cached
+        """``s_a(z) * s_b(z)`` — the ZZ eigenvalue sign vector (a fresh
+        array per call)."""
+        return self.sign(min(a, b)) * self.sign(max(a, b))
 
     @property
     def phase(self) -> np.ndarray:
@@ -363,16 +357,19 @@ def diagonal_registry_stats() -> dict:
 # ----------------------------------------------------------------------
 # noiseless fast path
 # ----------------------------------------------------------------------
-def _apply_single(
-    state: np.ndarray, matrix: np.ndarray, qubit: int, num_qubits: int
-) -> np.ndarray:
-    """Apply a 2x2 matrix to one qubit of a flat ``2^n`` state."""
-    axis = num_qubits - 1 - qubit
-    tensor = np.moveaxis(state.reshape((2,) * num_qubits), axis, 0)
-    out = np.empty_like(tensor)
-    out[0] = matrix[0, 0] * tensor[0] + matrix[0, 1] * tensor[1]
-    out[1] = matrix[1, 0] * tensor[0] + matrix[1, 1] * tensor[1]
-    return np.moveaxis(out, 0, axis).reshape(-1)
+def _apply_single(state: np.ndarray, matrix: np.ndarray, qubit: int) -> np.ndarray:
+    """Apply a 2x2 matrix to one qubit of a flat ``2^n`` state.
+
+    The ``(-1, 2, 2^qubit)`` view puts the qubit's bit on the middle axis,
+    so each half is one strided view: no axis transposes, no copies
+    beyond the output.
+    """
+    view = state.reshape(-1, 2, 1 << qubit)
+    out = np.empty_like(view)
+    lo, hi = view[:, 0], view[:, 1]
+    out[:, 0] = matrix[0, 0] * lo + matrix[0, 1] * hi
+    out[:, 1] = matrix[1, 0] * lo + matrix[1, 1] * hi
+    return out.reshape(-1)
 
 
 def _rx_matrix(theta: float) -> np.ndarray:
@@ -402,7 +399,7 @@ def qaoa_statevector(program, diagonal: Optional[CostDiagonal] = None) -> np.nda
         state = state * np.exp(-1j * gamma * phase)
         mixer = _rx_matrix(program.mixer_angle(level))
         for q in range(n):
-            state = _apply_single(state, mixer, q, n)
+            state = _apply_single(state, mixer, q)
     return state
 
 
@@ -974,6 +971,7 @@ def logical_trajectory(
     rng: np.random.Generator,
     diagonal: Optional[CostDiagonal] = None,
     durations=None,
+    memo: Optional[Dict] = None,
 ) -> Tuple[np.ndarray, int]:
     """One noisy Pauli trajectory evolved in the ``2^n`` logical frame.
 
@@ -989,6 +987,12 @@ def logical_trajectory(
 
     Requires a circuit that :func:`fastpath_plan` accepts.
 
+    ``memo`` caches the Z and ZZ sign vectors (:meth:`CostDiagonal.sign`,
+    :meth:`CostDiagonal.szz`) by qubit and qubit pair.  Pass one dict to
+    every trajectory of an evaluation so they are built once per call;
+    the diagonal itself keeps none of them, so they are freed with the
+    dict.  ``None`` uses a fresh dict for this trajectory alone.
+
     Returns:
         ``(state, dirt_mask)`` — the flat logical statevector and the
         basis-state content of the unmapped physical qubits (bit ``p``
@@ -1000,6 +1004,7 @@ def logical_trajectory(
     n = program.num_qubits
     n_phys = circuit.num_qubits
     diag = diagonal if diagonal is not None else cost_diagonal(program)
+    memo = {} if memo is None else memo
     track_time = noise.t2_ns is not None
     if durations is None and track_time:
         from ..circuits.timing import DurationModel
@@ -1013,6 +1018,19 @@ def logical_trajectory(
     state = np.zeros(1 << n, dtype=complex)
     state[0] = 1.0
     acc: Optional[np.ndarray] = None  # pending diagonal phase angles
+
+    def sign(q: int) -> np.ndarray:
+        vector = memo.get(q)
+        if vector is None:
+            vector = memo[q] = diag.sign(q)
+        return vector
+
+    def szz(a: int, b: int) -> np.ndarray:
+        key = (min(a, b), max(a, b))
+        vector = memo.get(key)
+        if vector is None:
+            vector = memo[key] = sign(key[0]) * sign(key[1])
+        return vector
 
     def flush() -> None:
         nonlocal state, acc
@@ -1037,11 +1055,11 @@ def logical_trajectory(
                 dirt[phys] = dirt.get(phys, 0) ^ 1
             return
         if pauli == "z":
-            state = state * diag.sign(q)  # diagonal — no flush needed
+            state = state * sign(q)  # diagonal — no flush needed
             return
         flush()
         matrix = _PAULI_X if pauli == "x" else _PAULI_Y
-        state = _apply_single(state, matrix, q, n)
+        state = _apply_single(state, matrix, q)
 
     clocks = [0.0] * n_phys if track_time else None
 
@@ -1081,16 +1099,16 @@ def logical_trajectory(
                 dirt[pb] = da
         elif name == "cphase":
             qa, qb = owner[inst.qubits[0]], owner[inst.qubits[1]]
-            add_diag(0.5 * inst.params[0], diag.szz(qa, qb))
+            add_diag(0.5 * inst.params[0], szz(qa, qb))
         elif name == "rz":
-            add_diag(0.5 * inst.params[0], diag.sign(owner[inst.qubits[0]]))
+            add_diag(0.5 * inst.params[0], sign(owner[inst.qubits[0]]))
         elif name == "h":
             flush()
-            state = _apply_single(state, _HADAMARD, owner[inst.qubits[0]], n)
+            state = _apply_single(state, _HADAMARD, owner[inst.qubits[0]])
         elif name == "rx":
             flush()
             state = _apply_single(
-                state, _rx_matrix(inst.params[0]), owner[inst.qubits[0]], n
+                state, _rx_matrix(inst.params[0]), owner[inst.qubits[0]]
             )
         else:
             raise ValueError(
@@ -1149,6 +1167,53 @@ def _physical_index_map(
     return phys
 
 
+def _sorted_support(
+    final_mapping: Mapping[int, int], num_logical: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(order, support)``: the physical indices the logical basis
+    states land on, ascending, and the permutation of logical indices
+    that sorts them (``support == _physical_index_map(...)[order]``)."""
+    phys = _physical_index_map(final_mapping, num_logical)
+    order = np.argsort(phys)
+    return order, phys[order]
+
+
+#: ``Generator.choice``'s tolerance on ``sum(p) - 1``.
+_CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def _sample_support(
+    rng: np.random.Generator, support: np.ndarray, probs: np.ndarray, size: int
+) -> np.ndarray:
+    """Draw ``size`` physical indices from a distribution on ``support``.
+
+    ``support`` holds the ascending physical indices that can occur and
+    ``probs`` their (normalised) probabilities.  The result equals
+    ``rng.choice(1 << n_phys, size, p=full)`` draw for draw, where
+    ``full`` is ``probs`` zero-padded over the whole register, and leaves
+    the generator in the same state: ``choice`` takes
+    ``cdf = p.cumsum(); cdf /= cdf[-1]`` and searches one ``rng.random``
+    per draw with ``side="right"``.  Adding the padding's zeros to a
+    running sum is exact, so the CDF at each support index is the same,
+    and a right-sided search never stops on an index whose probability
+    is zero.  The cost is ``O(len(support))``, not ``O(2^n_phys)``.
+
+    ``choice``'s input checks are kept: NaN, negative or non-normalised
+    ``probs`` raise ``ValueError``.
+    """
+    probs = np.asarray(probs, dtype=float)
+    total = float(probs.sum())
+    if np.isnan(total):
+        raise ValueError("probabilities contain NaN")
+    if np.any(probs < 0.0):
+        raise ValueError("probabilities are not non-negative")
+    if abs(total - 1.0) > _CHOICE_ATOL:
+        raise ValueError("probabilities do not sum to 1")
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return support[cdf.searchsorted(rng.random(size), side="right")]
+
+
 # ----------------------------------------------------------------------
 # parity-frame evaluation
 # ----------------------------------------------------------------------
@@ -1205,7 +1270,6 @@ def _evaluate_parity(
     else:
         plan = FastPathPlan(False, "fast path disabled by caller")
     fast = plan.ok
-    phys_map = _physical_index_map(mapping, K) if fast else None
 
     # -- ideal side ----------------------------------------------------
     tick = time.perf_counter()
@@ -1217,15 +1281,15 @@ def _evaluate_parity(
             state = state * np.exp(-1j * gamma * phase)
             mixer = _rx_matrix(program.mixer_angle(level))
             for s in range(K):
-                state = _apply_single(state, mixer, s, K)
+                state = _apply_single(state, mixer, s)
         probs_slots = np.abs(state) ** 2
         if mode == "exact":
             r0 = float(np.dot(probs_slots, slot_cut)) / max_cut
         else:
-            probs_phys = np.zeros(1 << n_phys)
-            probs_phys[phys_map] = probs_slots
-            probs_phys /= probs_phys.sum()
-            sampled = rng.choice(1 << n_phys, size=shots, p=probs_phys)
+            order, support = _sorted_support(mapping, K)
+            probs = probs_slots[order]
+            probs /= probs.sum()
+            sampled = _sample_support(rng, support, probs, shots)
             r0 = float(
                 slot_cut[decode_indices(sampled, mapping, K)].mean()
             ) / max_cut
@@ -1352,10 +1416,15 @@ def evaluate_fast(
     gate-by-gate simulators exactly (ideal sampling, then per-trajectory
     noise draws and sampling, then readout flips), so a seeded generator
     reproduces the legacy pipeline's stream whether or not the fast path
-    is taken.  In ``exact`` mode no sampling happens: ``r0`` is the exact
+    is taken.  The fast path samples each distribution over its ``2^n``
+    reachable physical indices only (:func:`_sample_support`), which
+    reproduces ``Generator.choice`` over the zero-padded ``2^n_phys``
+    register draw for draw, so its cost does not grow with the device.
+    In ``exact`` mode no sampling happens: ``r0`` is the exact
     expectation and ``rh`` averages exact per-trajectory expectations
     under the same noise realisations, with readout applied analytically
-    to the diagonal.
+    to the diagonal.  The Z/ZZ sign vectors the trajectories use are
+    memoised for this call only and freed when it returns.
 
     Args:
         compiled: A compiled result exposing ``circuit``, ``program``,
@@ -1413,7 +1482,8 @@ def evaluate_fast(
     else:
         plan = FastPathPlan(False, "fast path disabled by caller")
     fast = plan.ok
-    phys_map = _physical_index_map(mapping, n) if fast else None
+    if fast and mode == "sampled":
+        order, support = _sorted_support(mapping, n)
 
     # -- ideal side ----------------------------------------------------
     tick = time.perf_counter()
@@ -1422,10 +1492,9 @@ def evaluate_fast(
         if mode == "exact":
             r0 = float(np.dot(probs_logical, cut)) / max_cut
         else:
-            probs_phys = np.zeros(1 << n_phys)
-            probs_phys[phys_map] = probs_logical
-            probs_phys /= probs_phys.sum()
-            sampled = rng.choice(1 << n_phys, size=shots, p=probs_phys)
+            probs = probs_logical[order]
+            probs /= probs.sum()
+            sampled = _sample_support(rng, support, probs, shots)
             r0 = float(cut[decode_indices(sampled, mapping, n)].mean()) / max_cut
     else:
         from .statevector import StatevectorSimulator
@@ -1448,6 +1517,7 @@ def evaluate_fast(
     n_traj = trajectories
     if noise is not None:
         tick = time.perf_counter()
+        memo: Dict = {}  # sign vectors shared by this call's trajectories
         if mode == "exact":
             readout = diag.readout_adjusted(
                 {q: noise.readout_flip.get(mapping[q], 0.0) for q in range(n)}
@@ -1456,7 +1526,7 @@ def evaluate_fast(
             if fast:
                 for _ in range(n_traj):
                     state, _ = logical_trajectory(
-                        compiled, noise, rng, diag, durations
+                        compiled, noise, rng, diag, durations, memo
                     )
                     probs = np.abs(state) ** 2
                     probs /= probs.sum()
@@ -1483,16 +1553,19 @@ def evaluate_fast(
                 chunks = []
                 for t in range(n_traj):
                     state, dirt_mask = logical_trajectory(
-                        compiled, noise, rng, diag, durations
+                        compiled, noise, rng, diag, durations, memo
                     )
-                    probs_phys = np.zeros(1 << n_phys)
-                    probs_phys[phys_map | dirt_mask] = np.abs(state) ** 2
-                    probs_phys /= probs_phys.sum()
                     traj_shots = base + (1 if t < extra else 0)
                     if traj_shots == 0:
                         continue
+                    probs = np.abs(state[order]) ** 2
+                    probs /= probs.sum()
+                    # Dirt bits sit on unmapped qubits, so OR-ing them in
+                    # keeps the support ascending.
                     chunks.append(
-                        rng.choice(1 << n_phys, size=traj_shots, p=probs_phys)
+                        _sample_support(
+                            rng, support | dirt_mask, probs, traj_shots
+                        )
                     )
                 indices = np.concatenate(chunks)
                 # Readout flips in NoisySimulator's exact draw order —

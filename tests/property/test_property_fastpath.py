@@ -14,7 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiler import compile_with_method
-from repro.hardware.devices import get_device, melbourne_calibration
+from repro.hardware.calibration import random_calibration
+from repro.hardware.devices import (
+    get_device,
+    ibmq_20_tokyo,
+    melbourne_calibration,
+)
 from repro.qaoa import build_qaoa_circuit, evaluate_arg
 from repro.qaoa.problems import Level, MaxCutProblem, QAOAProgram
 from repro.sim import NoiseModel, NoisySimulator, StatevectorSimulator
@@ -177,3 +182,86 @@ class TestCompiledPath:
             assert abs(fast.r0 - slow.r0) < 1e-12
             assert abs(fast.rh - slow.rh) < 1e-12
             assert abs(fast.arg - slow.arg) < ATOL
+
+
+def _held_arrays(obj):
+    """Every ndarray an object's attributes hold, one container deep."""
+    out = []
+    for value in vars(obj).values():
+        items = value.values() if isinstance(value, dict) else (
+            value if isinstance(value, (tuple, list)) else (value,)
+        )
+        out.extend(v for v in items if isinstance(v, np.ndarray))
+    return out
+
+
+class TestTokyoStreamParity:
+    """The fast path samples over the logical support, never over the
+    2^20 tokyo register, yet must draw exactly what the gate-by-gate
+    path draws from that register."""
+
+    def _case(self):
+        rng = np.random.default_rng(3)
+        n = 6
+        edges = [
+            (a, b, 1.0)
+            for a in range(n)
+            for b in range(a + 1, n)
+            if rng.random() < 0.6
+        ]
+        program = QAOAProgram(
+            num_qubits=n, edges=edges, levels=[Level(0.9, 0.4)]
+        )
+        device = ibmq_20_tokyo()
+        calibration = random_calibration(
+            device, np.random.default_rng(1), mean=0.05
+        )
+        compiled = compile_with_method(
+            program,
+            device,
+            "ic",
+            calibration=calibration,
+            rng=np.random.default_rng(2),
+        )
+        return compiled, NoiseModel.from_calibration(calibration)
+
+    def test_sampled_tokyo_bit_identical_with_equal_generator_state(self):
+        compiled, noise = self._case()
+        assert compiled.circuit.num_qubits == 20
+        outcomes, states = [], []
+        for use_fastpath in (True, False):
+            rng = np.random.default_rng(9)
+            outcomes.append(
+                evaluate_fast(
+                    compiled,
+                    noise=noise,
+                    shots=256,
+                    trajectories=2,
+                    rng=rng,
+                    use_fastpath=use_fastpath,
+                )
+            )
+            states.append(rng.bit_generator.state)
+        fast, slow = outcomes
+        assert fast.fastpath and not slow.fastpath
+        assert (fast.r0, fast.rh) == (slow.r0, slow.rh)
+        assert states[0] == states[1]
+
+    def test_interned_diagonal_keeps_no_sign_vectors(self):
+        compiled, noise = self._case()
+        diag = cost_diagonal(compiled.program)
+        for mode in ("sampled", "exact"):
+            evaluate_fast(
+                compiled,
+                noise=noise,
+                shots=64,
+                trajectories=2,
+                rng=np.random.default_rng(0),
+                mode=mode,
+            )
+        assert cost_diagonal(compiled.program) is diag
+        allowed = {id(diag.cut), id(diag.phase)}
+        if diag._phase_groups is not None:
+            allowed.update(id(a) for a in diag._phase_groups)
+        extra = [a.shape for a in _held_arrays(diag) if id(a) not in allowed]
+        assert not extra, f"diagonal holds per-qubit/pair vectors {extra}"

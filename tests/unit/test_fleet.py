@@ -497,6 +497,10 @@ class TestStreams:
         with pytest.raises(ValueError, match="line 1"):
             fleet_jobs_from_jsonl([json.dumps({"slo": "no-such-tier"})])
 
+    def test_fleet_jobs_from_jsonl_rejects_a_bare_string(self):
+        with pytest.raises(TypeError, match="sequence of lines"):
+            fleet_jobs_from_jsonl(json.dumps({"method": "ic"}))
+
 
 # ----------------------------------------------------------------------
 # optimize jobs through the fleet (the variational service workload)

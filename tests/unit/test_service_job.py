@@ -264,6 +264,12 @@ class TestJsonl:
         with pytest.raises(ValueError, match="line 2"):
             load_jobs_jsonl(["# ok", '{"device": "ring_8"}'])
 
+    @pytest.mark.parametrize("text", ['{"device": "ring_8"}\n', b"{}\n"])
+    def test_loader_rejects_a_bare_string(self, text):
+        # Iterating a str would parse it one character per "line".
+        with pytest.raises(TypeError, match="sequence of lines"):
+            load_jobs_jsonl(text)
+
     def test_inline_device_round_trip(self, program):
         job = _job(program, device=ring_device(8))
         restored = job_from_dict(job_to_dict(job))

@@ -178,6 +178,11 @@ class TestJsonl:
         with pytest.raises(ValueError, match="line 1"):
             load_optimize_jobs_jsonl(['{"optimize": {}}'])
 
+    @pytest.mark.parametrize("text", ['{"qubo": {"matrix": [[1]]}}', b"{}"])
+    def test_load_jsonl_rejects_a_bare_string(self, text):
+        with pytest.raises(TypeError, match="sequence of lines"):
+            load_optimize_jobs_jsonl(text)
+
     def test_rejects_non_object_knobs(self):
         with pytest.raises(ValueError, match="'optimize' must be an object"):
             optimize_job_from_dict(
