@@ -243,7 +243,9 @@ def compile(
         problem: A :class:`~repro.qaoa.problems.MaxCutProblem` (angles
             from ``gammas``/``betas``, default the harness's fixed p=1
             parameters) or a ready :class:`~repro.qaoa.problems.QAOAProgram`.
-        target: Device name (``"melbourne"``, ``"tokyo"``, ...), a
+        target: Device name (``"ibmq_16_melbourne"``, ``"ibmq_20_tokyo"``,
+            ``"ring_8"``, ... — anything
+            :func:`~repro.hardware.devices.get_device` accepts), a
             :class:`~repro.hardware.coupling.CouplingGraph`, a
             :class:`~repro.hardware.calibration.Calibration`, or a
             prebuilt :class:`~repro.hardware.target.Target`.

@@ -435,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     store_p = sub.add_parser(
         "store",
         help="inspect the content-addressed artifact store "
-        "(registries, shared memory, sharded disk)",
+        "(registries, sharded disk)",
     )
     store_p.add_argument(
         "action", choices=["stats", "prune", "clear"],
@@ -1367,8 +1367,6 @@ def _cmd_store(args, out) -> int:
         for name, stats in sorted(snap["registries"].items()):
             for key, value in sorted(stats.items()):
                 rows.append([f"registry.{name}.{key}", value])
-        for key, value in sorted(snap["shm"].items()):
-            rows.append([f"shm.{key}", value])
         if "disk" in snap:
             for key, value in sorted(snap["disk"].items()):
                 if key == "shards":

@@ -69,7 +69,6 @@ from .spec import (
     default_fleet,
     fleet_from_dict,
     load_fleet_json,
-    resolve_device_name,
 )
 
 __all__ = [
@@ -81,7 +80,6 @@ __all__ = [
     "default_fleet",
     "fleet_from_dict",
     "load_fleet_json",
-    "resolve_device_name",
     "FleetJob",
     "bind_job",
     "fleet_jobs_from_jsonl",

@@ -178,8 +178,8 @@ class FleetReport:
     cache_quarantined: int = 0
     #: Artifact-store activity for the run: ``"process"`` — the
     #: :func:`repro.store.diff_store_stats` delta of this process's
-    #: registries and shared-memory tier; ``"jobs"`` — summed per-job
-    #: ``store.*`` counters from every device engine's telemetry.
+    #: registries; ``"jobs"`` — summed per-job ``store.*`` counters from
+    #: every device engine's telemetry.
     store: dict = dataclasses.field(default_factory=dict)
 
     # ------------------------------------------------------------------
@@ -318,15 +318,6 @@ class FleetReport:
             headline.insert(2, ["resumed from journal", s["resumed"]])
         if s["cache_quarantined"]:
             headline.append(["cache quarantined", s["cache_quarantined"]])
-        store = s["store"]
-        if store:
-            headline.append(
-                [
-                    "store shm hits/publishes",
-                    f"{store.get('shm_hits', 0)}/"
-                    f"{store.get('shm_publishes', 0)}",
-                ]
-            )
         blocks = [format_table(["fleet", "value"], headline)]
 
         rows = [

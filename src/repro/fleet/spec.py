@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import re
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..hardware.calibration import Calibration, random_calibration
 from ..hardware.coupling import CouplingGraph
+from ..hardware.devices import get_device
 from ..hardware.faults import FaultInjector, RawCalibration, repair_calibration
 from ..hardware.target import Target, intern_target
 
@@ -37,7 +37,6 @@ __all__ = [
     "default_fleet",
     "fleet_from_dict",
     "load_fleet_json",
-    "resolve_device_name",
 ]
 
 #: FaultInjector.degrade keyword arguments a slot recipe may use.
@@ -50,45 +49,6 @@ FAULT_KNOBS = (
     "out_of_range_entries",
     "inflate",
 )
-
-_PARAMETRIC = (
-    re.compile(r"^ring_(\d+)$"),
-    re.compile(r"^linear_(\d+)$"),
-    re.compile(r"^grid_(\d+)x(\d+)$"),
-)
-
-
-def resolve_device_name(name: str) -> CouplingGraph:
-    """Resolve a device name, accepting parametric families.
-
-    ``ring_N``, ``linear_N`` and ``grid_RxC`` build synthetic topologies
-    of any size; everything else goes through the library
-    (:func:`repro.hardware.devices.get_device`).
-    """
-    from ..hardware.devices import (
-        get_device,
-        grid_device,
-        linear_device,
-        ring_device,
-    )
-
-    m = _PARAMETRIC[0].match(name)
-    if m:
-        return ring_device(int(m.group(1)))
-    m = _PARAMETRIC[1].match(name)
-    if m:
-        return linear_device(int(m.group(1)))
-    m = _PARAMETRIC[2].match(name)
-    if m:
-        return grid_device(int(m.group(1)), int(m.group(2)))
-    try:
-        return get_device(name)
-    except KeyError:
-        raise ValueError(
-            f"unknown device {name!r} (not a library device and not a "
-            "parametric ring_N/linear_N/grid_RxC family)"
-        ) from None
-
 
 @dataclasses.dataclass
 class DeviceSlot:
@@ -142,7 +102,7 @@ class DeviceSlot:
     def resolve_coupling(self) -> CouplingGraph:
         if isinstance(self.device, CouplingGraph):
             return self.device
-        return resolve_device_name(self.device)
+        return get_device(self.device)
 
     def resolve_calibration(
         self, coupling: CouplingGraph

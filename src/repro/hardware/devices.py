@@ -14,10 +14,15 @@ The paper targets three architectures (Section V-B):
 Additional synthetic topologies used by examples/tests: linear chains, rings
 (the 8-qubit cyclic device of the Section VI planner comparison), fully
 connected graphs, and the hypothetical 6-qubit device of Figure 6.
+
+:func:`get_device` is the one name resolver: every entry point that takes a
+device name (``repro.compile``, compile/eval jobs, the CLI, fleet slots)
+goes through it.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Dict, List
 
 from .calibration import Calibration
@@ -227,10 +232,30 @@ DEVICE_BUILDERS = {
 }
 
 
+_PARAMETRIC = (
+    (re.compile(r"^ring_(\d+)$"), ring_device),
+    (re.compile(r"^linear_(\d+)$"), linear_device),
+    (re.compile(r"^grid_(\d+)x(\d+)$"), grid_device),
+)
+
+
 def get_device(name: str) -> CouplingGraph:
-    """Look up a named device from the library."""
-    try:
-        return DEVICE_BUILDERS[name]()
-    except KeyError:
-        known = ", ".join(sorted(DEVICE_BUILDERS))
-        raise KeyError(f"unknown device {name!r}; known: {known}") from None
+    """Build a device by name.
+
+    Library names are the keys of :data:`DEVICE_BUILDERS`
+    (``"ibmq_20_tokyo"``, ``"ibmq_16_melbourne"``, ...).  The parametric
+    families ``ring_N``, ``linear_N`` and ``grid_RxC`` build synthetic
+    topologies of any size.  Any other name raises :class:`KeyError`.
+    """
+    builder = DEVICE_BUILDERS.get(name)
+    if builder is not None:
+        return builder()
+    for pattern, build in _PARAMETRIC:
+        match = pattern.match(name)
+        if match:
+            return build(*(int(g) for g in match.groups()))
+    known = ", ".join(sorted(DEVICE_BUILDERS))
+    raise KeyError(
+        f"unknown device {name!r}; known: {known}, or a parametric "
+        "ring_N/linear_N/grid_RxC"
+    )

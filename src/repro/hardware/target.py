@@ -53,7 +53,6 @@ import numpy as np
 
 from .coupling import CouplingGraph, Edge
 from ..store.registry import FingerprintRegistry
-from ..store.shm import shared_tier
 
 __all__ = [
     "Target",
@@ -300,13 +299,6 @@ class Target:
 
             matrix, warnings = resolve_vic_distances(self.calibration)
             self._vic_resolved = (matrix, tuple(warnings))
-            # Publish clean resolutions for other processes to adopt
-            # zero-copy (degraded fallbacks carry warnings and stay
-            # private — adoption must reproduce (matrix, ()) exactly).
-            if matrix is not None and not warnings and self.fingerprint:
-                shared_tier().publish(
-                    f"vic:{self.fingerprint}", {"matrix": matrix}
-                )
         matrix, warnings = self._vic_resolved
         return matrix, list(warnings)
 
@@ -468,24 +460,6 @@ def set_registry_capacity(capacity: Optional[int]) -> None:
     _COUPLINGS.set_capacity(capacity)
 
 
-def _adopt_shared_vic(target: Target) -> None:
-    """Resolve this target's VIC table from the shared-memory tier.
-
-    Keyed ``"vic:<target fingerprint>"`` — published by whichever process
-    resolved the table first (see :meth:`Target.vic_distances`).  Only
-    clean resolutions (matrix present, no degradation warnings) are ever
-    published, so adoption re-creates exactly ``(matrix, ())``.
-    """
-    if target.calibration is None or target._vic_resolved is not None:
-        return
-    arrays = shared_tier().resolve(f"vic:{target.fingerprint}")
-    if arrays is not None and "matrix" in arrays:
-        matrix = arrays["matrix"]
-        n = target.num_qubits
-        if matrix.shape == (n, n):
-            target._vic_resolved = (matrix, ())
-
-
 def intern_target(
     coupling: CouplingGraph,
     calibration=None,
@@ -500,11 +474,6 @@ def intern_target(
     without a fingerprint (duck-typed calibrations) are returned
     un-interned.  The registry is a bounded LRU — long-running services
     with unbounded device churn cannot leak.
-
-    On an intern miss the target additionally tries to adopt its heavy
-    tables (VIC distance matrix) zero-copy from the shared-memory tier,
-    so a pool worker unpickling a target another process already analysed
-    skips the O(n³) work entirely.
     """
     target = Target(
         coupling,
@@ -515,9 +484,7 @@ def intern_target(
     fp = target.fingerprint
     if fp is None:
         return target
-    interned, hit = _TARGETS.intern(fp, lambda: target)
-    if not hit:
-        _adopt_shared_vic(interned)
+    interned, _hit = _TARGETS.intern(fp, lambda: target)
     return interned
 
 
@@ -527,12 +494,10 @@ def intern_coupling(
     """The shared :class:`CouplingGraph` for this topology content.
 
     Interning makes N identical inline device specs (batch job files,
-    unpickled pool jobs) share one graph — and one Floyd–Warshall table,
-    resolved zero-copy from the shared-memory tier when any process has
-    already computed it (the interned graph carries its content key in
-    ``_shm_key``; see ``CouplingGraph._hop_table``).  This is also
-    ``CouplingGraph.__reduce__``'s constructor, so couplings cross
-    process boundaries as edge lists and re-intern on arrival.
+    unpickled pool jobs) share one graph — and one Floyd–Warshall
+    table.  This is also ``CouplingGraph.__reduce__``'s constructor, so
+    couplings cross process boundaries as edge lists and re-intern on
+    arrival.
     """
     key = (
         str(name),
@@ -540,12 +505,9 @@ def intern_coupling(
         tuple(sorted(_norm_edge(*e) for e in edges)),
     )
 
-    def _build() -> CouplingGraph:
-        built = CouplingGraph(key[1], key[2], name=key[0])
-        built._shm_key = f"coupling:{coupling_fingerprint(built)}"
-        return built
-
-    graph, _hit = _COUPLINGS.intern(key, _build)
+    graph, _hit = _COUPLINGS.intern(
+        key, lambda: CouplingGraph(key[1], key[2], name=key[0])
+    )
     return graph
 
 

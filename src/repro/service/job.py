@@ -74,8 +74,8 @@ class CompileJob:
 
     Attributes:
         program: The QAOA program to compile.
-        device: Library device name (resolved via
-            :func:`repro.hardware.devices.get_device`) or an inline
+        device: Device name, library or parametric (resolved via
+            :func:`repro.hardware.devices.get_device`), or an inline
             :class:`CouplingGraph`.
         method: A registered method name (see
             :func:`repro.compiler.available_methods`) or an inline
@@ -345,9 +345,9 @@ def execute_job(job: CompileJob) -> JobResult:
             "pass_trace": [r.to_dict() for r in compiled.pass_trace],
             "target_fingerprint": compiled.target_fingerprint,
         }
-        # Per-job artifact-store activity (shm hits/publishes, registry
-        # hits) — rides in the envelope so the engine sees what happened
-        # inside pool workers.
+        # Per-job artifact-store activity (registry hits/misses) — rides
+        # in the envelope so the engine sees what happened inside pool
+        # workers.
         events = flatten_store_events(store_before, store_stats())
         if events:
             metrics["store_events"] = events

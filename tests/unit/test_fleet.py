@@ -30,11 +30,12 @@ from repro.fleet import (
     fleet_jobs_from_jsonl,
     get_policy,
     load_fleet_json,
-    resolve_device_name,
     run_fleet,
     slo_from_dict,
     synthetic_stream,
 )
+import repro
+from repro.hardware import get_device
 from repro.service import CompileJob, OptimizeJob
 from repro.service.job import JobResult, encode_envelope
 from repro.qaoa import MaxCutProblem
@@ -137,12 +138,26 @@ class TestSLO:
 # ----------------------------------------------------------------------
 class TestSpec:
     def test_resolve_parametric_names(self):
-        assert resolve_device_name("ring_12").num_qubits == 12
-        assert resolve_device_name("linear_7").num_qubits == 7
-        assert resolve_device_name("grid_3x4").num_qubits == 12
-        assert resolve_device_name("ibmq_20_tokyo").num_qubits == 20
-        with pytest.raises(ValueError):
-            resolve_device_name("hexagon_9")
+        assert get_device("ring_12").num_qubits == 12
+        assert get_device("linear_7").num_qubits == 7
+        assert get_device("grid_3x4").num_qubits == 12
+        assert get_device("ibmq_20_tokyo").num_qubits == 20
+        with pytest.raises(KeyError):
+            get_device("hexagon_9")
+
+    @pytest.mark.parametrize(
+        "name, qubits",
+        [("ring_12", 12), ("linear_7", 7), ("grid_3x4", 12), ("ibmq_20_tokyo", 20)],
+    )
+    def test_compile_accepts_fleet_device_names(self, name, qubits):
+        """repro.compile resolves the same names as fleet slots."""
+        result = repro.compile(MaxCutProblem(5, [(0, 1), (1, 2), (2, 3)]), target=name)
+        assert result.target.num_qubits == qubits
+        assert DeviceSlot("s", name).build_target().num_qubits == qubits
+
+    def test_compile_rejects_unknown_device_name(self):
+        with pytest.raises(KeyError, match="hexagon_9"):
+            repro.compile(MaxCutProblem(5, [(0, 1)]), target="hexagon_9")
 
     def test_slot_builds_degraded_target(self):
         clean = DeviceSlot("a", "ibmq_20_tokyo").build_target()

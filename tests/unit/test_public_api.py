@@ -6,6 +6,8 @@ entry points.
 """
 
 import importlib
+import pathlib
+import re
 
 import pytest
 
@@ -58,6 +60,14 @@ class TestExports:
         parts = repro.__version__.split(".")
         assert len(parts) == 3
         assert all(p.isdigit() for p in parts)
+
+    def test_pyproject_reads_version_from_package(self):
+        """pyproject.toml holds no literal version: setuptools reads
+        ``repro.__version__``, so the two cannot drift."""
+        text = (pathlib.Path(__file__).parents[2] / "pyproject.toml").read_text()
+        assert 'dynamic = ["version"]' in text
+        assert 'version = { attr = "repro.__version__" }' in text
+        assert not re.search(r'^version\s*=\s*"', text, re.MULTILINE)
 
     def test_method_presets_cover_paper(self):
         from repro import METHOD_PRESETS
